@@ -20,7 +20,7 @@
 //! improvements are always sound). A batch containing an *effective*
 //! deletion re-derives the fixpoint from initial values — real DD
 //! instead retracts via multiversioned differences; our restart is the
-//! conservative correct equivalent and is called out in DESIGN.md. For
+//! conservative correct equivalent (PAPER.md "Substitutions"). For
 //! the per-update and small-batch regimes Figure 14 focuses on, both
 //! pay "not proportional to the affected area", which is the behaviour
 //! under test.

@@ -12,7 +12,7 @@
 //!   indexes, round-synchronous delta processing. Insert-only batches
 //!   are processed incrementally; batches containing effective
 //!   deletions re-derive the fixpoint from initial values (see
-//!   DESIGN.md §3 for the substitution rationale).
+//!   PAPER.md "Substitutions" for the rationale).
 //! * [`recompute`] — whole-graph recomputation with dense frontiers
 //!   over a CSR snapshot (the GraphOne "0.76 s BFS re-compute" style
 //!   datapoint).

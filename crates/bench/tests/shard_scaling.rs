@@ -1,7 +1,9 @@
 //! Shard-scaling smoke test over the same driver the `shard_scaling`
 //! harness binary uses. Ignored by default (it measures wall-clock
 //! throughput); the slow CI job runs it with
-//! `cargo test --release -- --ignored`.
+//! `cargo test --release -- --ignored`, and again with
+//! `RISGRAPH_STORE=ooc-mmap` so the same check covers the out-of-core
+//! store (`ServerConfig::default` reads the variable).
 
 use std::sync::Arc;
 

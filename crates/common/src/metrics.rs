@@ -219,10 +219,11 @@ impl Registry {
         }
     }
 
-    /// Walk the list looking for `name`; the list is append-only so a
-    /// node seen once stays valid for the registry's lifetime.
-    fn find(&self, name: &str) -> Option<Metric> {
-        let mut cur = self.head.load(Ordering::Acquire);
+    /// Walk the list from `head` looking for `name`; the list is
+    /// append-only so a node seen once stays valid for the registry's
+    /// lifetime.
+    fn find_from(head: *mut Node, name: &str) -> Option<Metric> {
+        let mut cur = head;
         while !cur.is_null() {
             let node = unsafe { &*cur };
             if node.name == name {
@@ -240,9 +241,12 @@ impl Registry {
             next: AtomicPtr::new(std::ptr::null_mut()),
         });
         loop {
-            // Re-walk from the current head every attempt: a racing
-            // registration of the same name must win exactly once.
-            if let Some(existing) = self.find(name) {
+            // Re-walk from the current head every attempt and CAS
+            // against that same head: a racing registration of the same
+            // name must win exactly once. Loading the head again after
+            // the walk would let a name pushed in between go unseen.
+            let head = self.head.load(Ordering::Acquire);
+            if let Some(existing) = Self::find_from(head, name) {
                 if existing.kind() != node.metric.kind() {
                     panic!(
                         "metric {name:?} already registered as a {}, requested as a {}",
@@ -252,7 +256,6 @@ impl Registry {
                 }
                 return existing;
             }
-            let head = self.head.load(Ordering::Acquire);
             node.next.store(head, Ordering::Relaxed);
             let raw = Box::into_raw(node);
             match self

@@ -21,7 +21,7 @@
 //!
 //! Implementations in this crate: [`crate::GraphStore`] (IA_Hash/BTree/
 //! ART), [`crate::index_only::IndexOnlyStore`] (IO_*), and
-//! [`crate::ooc::OocStore`] (the §6.3 out-of-core prototype). The
+//! [`crate::ooc_mmap::MmapOocStore`] (the §6.3 out-of-core store). The
 //! [`crate::backend::AnyStore`] enum dispatches over all of them for
 //! runtime backend selection.
 
@@ -45,7 +45,7 @@ use crate::store::StoreStats;
 /// `&mut self` and happens at epoch boundaries where the engine holds
 /// exclusive access.
 pub trait DynamicGraph: Send + Sync {
-    /// Short backend label ("IA_Hash", "IO_BTree", "OOC", …).
+    /// Short backend label ("IA_Hash", "IO_BTree", "OOC_MMAP", …).
     fn backend_name(&self) -> &'static str;
 
     // ---- capacity & vertex lifecycle --------------------------------
@@ -84,8 +84,7 @@ pub trait DynamicGraph: Send + Sync {
     /// [`VertexTable`] *pin* and deletion through the matching
     /// reservation ([`VertexTable::remove_isolated`]), so an insert
     /// cannot slip between the degree check and the removal (the
-    /// lock-per-vertex backends used to leave that window open; the
-    /// single-mutex OOC store was always atomic).
+    /// lock-per-vertex backends used to leave that window open).
     fn delete_vertex(&self, v: VertexId) -> Result<()>;
 
     /// [`Self::insert_vertex`] drawing a WAL sequence stamp from `seq`

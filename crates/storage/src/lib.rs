@@ -24,8 +24,7 @@
 //! | [`index_only::IndexOnlyStore<HashIndex>`] | `io-hash` | edges only in per-vertex indexes |
 //! | [`index_only::IndexOnlyStore<BTreeIndex>`] | `io-btree` | ditto, B-tree |
 //! | [`index_only::IndexOnlyStore<ArtIndex>`] | `io-art` | ditto, ART |
-//! | [`ooc::OocStore`] | `ooc` | 4 KiB file-block chains + LRU cache (§6.3 out-of-core prototype) |
-//! | [`ooc_mmap::MmapOocStore`] | `ooc-mmap` | mmap-backed block chains, per-vertex lock striping + chain indexes (§6.3, concurrent) |
+//! | [`ooc_mmap::MmapOocStore`] | `ooc-mmap` | mmap-backed 4 KiB block chains, per-vertex lock striping + chain indexes (§6.3 out-of-core) |
 //!
 //! [`backend::AnyStore`] enum-dispatches the trait over all of them so
 //! the server stays a single concrete type.
@@ -43,7 +42,6 @@ pub mod csr;
 pub mod graph;
 pub mod index;
 pub mod index_only;
-pub mod ooc;
 pub mod ooc_mmap;
 pub mod store;
 
@@ -52,7 +50,6 @@ pub use backend::{AnyStore, BackendKind};
 pub use graph::{DynamicGraph, VertexPin, VertexTable};
 pub use index::{art::ArtIndex, btree::BTreeIndex, hash::HashIndex, EdgeIndex};
 pub use index_only::IndexOnlyStore;
-pub use ooc::OocStore;
 pub use ooc_mmap::MmapOocStore;
 pub use store::{GraphStore, StoreConfig, StoreStats};
 

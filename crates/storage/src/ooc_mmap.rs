@@ -1,26 +1,27 @@
-//! Concurrent mmap-backed out-of-core store (§6.3, the paper's actual
-//! design: "We use mmap to build a prototype that swaps to an SSD").
+//! Concurrent mmap-backed out-of-core store (§6.3, the paper's design:
+//! "We use mmap to build a prototype that swaps to an SSD").
 //!
-//! [`MmapOocStore`] keeps the legacy [`crate::ooc::OocStore`]'s on-disk
-//! layout — adjacency lists in 4 KiB file blocks chained per vertex,
-//! forward and transpose, 20-byte `(neighbour, weight, count)` records —
-//! but replaces both of its §6.3-prototype bottlenecks:
+//! Adjacency lists live in 4 KiB file blocks chained per vertex, forward
+//! *and* transpose — the incremental model needs reverse traversal
+//! during deletion recovery (§5) — as 20-byte `(neighbour, weight,
+//! count)` records, so update semantics (duplicate counting,
+//! tombstoning) match the in-memory stores exactly. Two choices keep the
+//! store off the engine's critical path:
 //!
-//! * **Global mutex → per-vertex lock striping.** The legacy store
-//!   serializes *every* operation behind one `Mutex<Inner>`, so the
-//!   sharded safe phase (PR 2) collapses to serial execution on the OOC
-//!   backend. Here each direction has [`STRIPES`] `RwLock` stripes over
-//!   the per-vertex chain directories; a block belongs to exactly one
-//!   `(vertex, direction)` chain, so holding the owning stripe lock
-//!   grants exclusive access to its bytes and commuting safe updates on
-//!   distinct vertices proceed concurrently. Lock order is the same as
+//! * **Per-vertex lock striping, not a store-wide lock.** The sharded
+//!   safe phase applies commuting updates on distinct vertices in
+//!   parallel; one lock around the whole store would serialize it. Each
+//!   direction has [`STRIPES`] `RwLock` stripes over the per-vertex
+//!   chain directories; a block belongs to exactly one `(vertex,
+//!   direction)` chain, so holding the owning stripe lock grants
+//!   exclusive access to its bytes. Lock order is the same as
 //!   [`crate::GraphStore`]: out-stripe before in-stripe, never the
 //!   reverse, which keeps the two-lock acquisition deadlock-free.
-//! * **O(chain) `find` → per-vertex chain index.** The legacy store
-//!   walks every block of a vertex's chain to locate a record; on hub
-//!   vertices that is a linear scan per update. Each chain directory
-//!   here carries a `(neighbour, weight) → (block, slot)` hash index
-//!   (tombstones included, so revival hits the same slot), making
+//! * **Per-vertex chain index, not a chain walk.** Locating a record by
+//!   walking every block of a vertex's chain costs a linear scan per
+//!   update on hub vertices. Each chain directory instead carries a
+//!   `(neighbour, weight) → (block, slot)` hash index (tombstones
+//!   included, so revival hits the same slot), making
 //!   `find`/`delete_edge_if`/`edge_count` O(1) regardless of degree,
 //!   plus an O(1) live-degree counter.
 //!
@@ -45,9 +46,8 @@
 //! recompute (or WAL replay) on top — the store only persists
 //! structure.
 //!
-//! Out/in chain desyncs are surfaced as [`Error::Corruption`] (not a
-//! release-silent `debug_assert!`), matching the legacy store's
-//! hardened contract.
+//! Out/in chain desyncs are surfaced as [`Error::Corruption`], not a
+//! release-silent `debug_assert!`.
 
 use std::fs::{File, OpenOptions};
 use std::os::raw::{c_int, c_void};
@@ -62,10 +62,36 @@ use risgraph_common::{Error, Result};
 
 use crate::adjacency::{DeleteOutcome, InsertOutcome};
 use crate::graph::{DynamicGraph, VertexTable};
-use crate::ooc::{
-    read_record, record_count, set_record_count, write_record, BLOCK_SIZE, RECORDS_PER_BLOCK,
-};
 use crate::store::StoreStats;
+
+const BLOCK_SIZE: usize = 4096;
+/// 20-byte records: neighbour(8) weight(8) count(4).
+const RECORD_SIZE: usize = 20;
+const RECORDS_PER_BLOCK: usize = (BLOCK_SIZE - 4) / RECORD_SIZE; // 4B header: record count
+
+fn read_record(block: &[u8; BLOCK_SIZE], i: usize) -> (VertexId, Weight, u32) {
+    let off = 4 + i * RECORD_SIZE;
+    (
+        u64::from_le_bytes(block[off..off + 8].try_into().unwrap()),
+        u64::from_le_bytes(block[off + 8..off + 16].try_into().unwrap()),
+        u32::from_le_bytes(block[off + 16..off + 20].try_into().unwrap()),
+    )
+}
+
+fn write_record(block: &mut [u8; BLOCK_SIZE], i: usize, nbr: VertexId, w: Weight, count: u32) {
+    let off = 4 + i * RECORD_SIZE;
+    block[off..off + 8].copy_from_slice(&nbr.to_le_bytes());
+    block[off + 8..off + 16].copy_from_slice(&w.to_le_bytes());
+    block[off + 16..off + 20].copy_from_slice(&count.to_le_bytes());
+}
+
+fn record_count(block: &[u8; BLOCK_SIZE]) -> usize {
+    u32::from_le_bytes(block[..4].try_into().unwrap()) as usize
+}
+
+fn set_record_count(block: &mut [u8; BLOCK_SIZE], n: usize) {
+    block[..4].copy_from_slice(&(n as u32).to_le_bytes());
+}
 
 /// Raw mmap bindings: the environment vendors offline shims instead of
 /// crates.io, and `memmap2` is not among them, so the store declares the
@@ -150,8 +176,8 @@ struct VertexDir {
     /// Block ids of the chain, in append order.
     chain: Vec<u32>,
     /// `(neighbour, weight) → (block, slot)`, tombstones included so a
-    /// re-insert revives the original slot (identical layout to the
-    /// legacy store's linear `find`).
+    /// re-insert revives the original slot instead of appending a
+    /// duplicate record.
     index: FxHashMap<(VertexId, Weight), (u32, u32)>,
     /// Records with `count > 0`.
     live: u32,
@@ -210,9 +236,15 @@ fn sidecar_path(path: &Path) -> PathBuf {
 
 impl MmapOocStore {
     /// Create (truncating) a store at `path` addressing `0..capacity`
-    /// vertices.
+    /// vertices. Any chain-directory sidecar left at `<path>.dir` by an
+    /// earlier store is removed: it describes blocks the truncation just
+    /// discarded, and [`Self::open`] would otherwise accept it.
     pub fn create(path: impl AsRef<Path>, capacity: usize) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
+        match std::fs::remove_file(sidecar_path(&path)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+            _ => {}
+        }
         let file = OpenOptions::new()
             .create(true)
             .read(true)
@@ -957,8 +989,7 @@ impl DynamicGraph for MmapOocStore {
             tombstones,
             indexed_vertices: self.vertices.live(), // every chain is indexed
             // The mapping is file-backed and pageable; charge the
-            // in-heap directories plus the mapped window, mirroring the
-            // legacy store's resident-cache accounting.
+            // in-heap directories plus the mapped window.
             memory_bytes: dir_bytes + self.map.read().blocks * BLOCK_SIZE,
         }
     }
@@ -1341,6 +1372,26 @@ mod tests {
             MmapOocStore::open(&path),
             Err(Error::Corruption(_))
         ));
+        cleanup(&path);
+    }
+
+    #[test]
+    fn create_discards_a_stale_sidecar() {
+        let path = tmp("stale-sidecar");
+        {
+            let s = MmapOocStore::create(&path, 8).unwrap();
+            s.insert_edge(Edge::new(1, 2, 0)).unwrap();
+            DynamicGraph::flush(&s).unwrap();
+        }
+        {
+            // Re-create over the flushed store and never flush: the old
+            // sidecar's block ids all fall inside the fresh file, so only
+            // its removal keeps `open` from rebuilding the old chains.
+            let s = MmapOocStore::create(&path, 8).unwrap();
+            s.insert_edge(Edge::new(3, 4, 1)).unwrap();
+        }
+        assert!(MmapOocStore::open(&path).is_err());
+        assert!(!sidecar_path(&path).exists());
         cleanup(&path);
     }
 

@@ -20,19 +20,6 @@ pub fn temp_path(tag: &str) -> PathBuf {
     ))
 }
 
-/// An OOC backend over a fresh scratch file; returns the path so the
-/// test can remove it when done.
-pub fn ooc_backend(tag: &str, cache_blocks: usize) -> (BackendKind, PathBuf) {
-    let path = temp_path(&format!("{tag}.blocks"));
-    (
-        BackendKind::Ooc {
-            path: Some(path.clone()),
-            cache_blocks,
-        },
-        path,
-    )
-}
-
 /// An mmap-backed OOC backend over a fresh scratch file; returns the
 /// path so the test can remove it (and its `.dir` sidecar) when done.
 pub fn ooc_mmap_backend(tag: &str) -> (BackendKind, PathBuf) {

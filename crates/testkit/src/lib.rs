@@ -37,8 +37,8 @@ pub mod oracle;
 pub mod streams;
 
 pub use builders::{
-    engine_on, loopback_net_server, loopback_net_server_with, ooc_backend, ooc_mmap_backend,
-    remove_ooc_files, remove_wal, server_config, temp_path,
+    engine_on, loopback_net_server, loopback_net_server_with, ooc_mmap_backend, remove_ooc_files,
+    remove_wal, server_config, temp_path,
 };
 pub use differential::{
     assert_servers_equivalent, drive_net_sessions, drive_sessions, drive_sessions_pipelined,

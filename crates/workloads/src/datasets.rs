@@ -4,8 +4,8 @@
 //! ratio, the graph family (power-law social/web vs. collaboration
 //! vs. road), temporality (timestamped streams split oldest/newest per
 //! §6.1), and the evaluation root. Absolute sizes scale down by a
-//! configurable factor so experiments run on one machine; DESIGN.md §3
-//! documents the substitution.
+//! configurable factor so experiments run on one machine; PAPER.md
+//! "Substitutions" documents the substitution.
 
 use risgraph_common::ids::{VertexId, Weight};
 

@@ -3,7 +3,7 @@
 //! The paper evaluates on ten real graphs (Table 3) plus the USA road
 //! network (§7). Those datasets are multi-gigabyte downloads; this
 //! reproduction regenerates their *relevant structure* synthetically
-//! (see DESIGN.md §3):
+//! (see PAPER.md "Substitutions"):
 //!
 //! * [`rmat`] — R-MAT/Kronecker power-law graphs: skewed degrees, small
 //!   effective diameter — the properties RisGraph's localized access

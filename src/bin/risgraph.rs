@@ -8,11 +8,10 @@
 //!
 //! `--store` selects the storage backend (the §6.3 matrix): Indexed
 //! Adjacency Lists (`ia-hash`, `ia-btree`, `ia-art`), index-only
-//! layouts (`io-hash`, `io-btree`, `io-art`), or an out-of-core store —
-//! `ooc` (block I/O behind a global mutex, the durability-conservative
-//! prototype) or `ooc-mmap` (mmap-backed with per-vertex lock striping,
-//! the concurrent variant). `RISGRAPH_STORE` sets the default. Every
-//! command below runs identically on each.
+//! layouts (`io-hash`, `io-btree`, `io-art`), or the out-of-core store
+//! `ooc-mmap` (mmap-backed block chains with per-vertex lock striping).
+//! `RISGRAPH_STORE` sets the default. Every command below runs
+//! identically on each.
 //!
 //! `--shards N` runs the shell through the full interactive tier
 //! instead of the bare engine: a [`Server`] with `N` safe-phase shard

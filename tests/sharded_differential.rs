@@ -5,10 +5,9 @@
 //! at every returned version, same per-version modification sets, same
 //! final values and store contents. This is the §4 commutativity claim
 //! ("safe updates change no results, so they may execute in any
-//! interleaving") as an executable property, checked on three storage
-//! backends (IA_Hash, the legacy out-of-core prototype, and the
-//! concurrent mmap-backed OOC store — whose cross-backend triangle
-//! `ooc-mmap ≡ ooc ≡ IA_Hash` is asserted at shards 1 and 4).
+//! interleaving") as an executable property, checked on IA_Hash and on
+//! the concurrent mmap-backed OOC store — which is also asserted
+//! `≡ IA_Hash` across backends, at shards 1 and 4.
 //!
 //! Determinism protocol: each emulated session owns a disjoint vertex
 //! region ([`risgraph_testkit::disjoint_session_streams`]), so its
@@ -133,30 +132,27 @@ fn sharded_equals_serial_on_ooc() {
         seed: 9,
         ..RegionStreamConfig::default()
     };
-    // Tiny caches force block evictions mid-stream on both servers.
-    let (ooc_a, path_a) = risgraph_testkit::ooc_backend("shard-diff-serial", 4);
-    let (ooc_b, path_b) = risgraph_testkit::ooc_backend("shard-diff-sharded", 4);
+    let (ooc_a, path_a) = risgraph_testkit::ooc_mmap_backend("shard-diff-serial");
+    let (ooc_b, path_b) = risgraph_testkit::ooc_mmap_backend("shard-diff-sharded");
     differential(
-        "OOC",
+        "OOC_MMAP",
         ooc_a,
         ooc_b,
         4,
         &disjoint_session_streams(&cfg),
         cfg.capacity(),
     );
-    let _ = std::fs::remove_file(path_a);
-    let _ = std::fs::remove_file(path_b);
+    risgraph_testkit::remove_ooc_files(&path_a);
+    risgraph_testkit::remove_ooc_files(&path_b);
 }
 
-/// The acceptance triangle for the mmap OOC store: `ooc-mmap` must be
-/// observably identical to IA_Hash and to the legacy global-mutex
-/// `ooc` store, at `shards = 1` and `shards = 4` — same outcomes and
-/// safety classes, same point-in-time values against the oracle, same
-/// modification sets, same final values and count-annotated store
-/// contents. With `sharded_equals_serial_on_ooc` above this chains
-/// `ooc-mmap ≡ ooc ≡ IA_Hash` at both shard counts.
+/// The cross-backend check for the mmap OOC store: `ooc-mmap` must be
+/// observably identical to IA_Hash at `shards = 1` and `shards = 4` —
+/// same outcomes and safety classes, same point-in-time values against
+/// the oracle, same modification sets, same final values and
+/// count-annotated store contents.
 #[test]
-fn ooc_mmap_equals_legacy_ooc_and_ia_hash() {
+fn ooc_mmap_equals_ia_hash() {
     let cfg = RegionStreamConfig {
         sessions: 4,
         region: 16,
@@ -186,21 +182,6 @@ fn ooc_mmap_equals_legacy_ooc_and_ia_hash() {
         "IA_Hash s1 vs OOC_MMAP s4",
         (BackendKind::IaHash, 1),
         (mmap_s4, 4),
-        &streams,
-        cfg.capacity(),
-    );
-
-    // Legacy ooc sharded vs ooc-mmap sharded: same epochs, same
-    // backend family, one serialized by a global mutex and one by
-    // per-vertex stripes.
-    let (ooc_s4, p) = risgraph_testkit::ooc_backend("mmap-diff-legacy", 4);
-    scratch.push(p);
-    let (mmap_s4b, p) = risgraph_testkit::ooc_mmap_backend("mmap-diff-sharded-b");
-    scratch.push(p);
-    differential_pair(
-        "OOC s4 vs OOC_MMAP s4",
-        (ooc_s4, 4),
-        (mmap_s4b, 4),
         &streams,
         cfg.capacity(),
     );
@@ -355,25 +336,6 @@ fn sharded_equals_serial_big() {
             cfg.capacity(),
         );
     }
-    let cfg = RegionStreamConfig {
-        sessions: 6,
-        region: 24,
-        steps: 300,
-        seed: 43,
-        ..RegionStreamConfig::default()
-    };
-    let (ooc_a, path_a) = risgraph_testkit::ooc_backend("shard-diff-big-serial", 8);
-    let (ooc_b, path_b) = risgraph_testkit::ooc_backend("shard-diff-big-sharded", 8);
-    differential(
-        "big OOC",
-        ooc_a,
-        ooc_b,
-        4,
-        &disjoint_session_streams(&cfg),
-        cfg.capacity(),
-    );
-    let _ = std::fs::remove_file(path_a);
-    let _ = std::fs::remove_file(path_b);
     let (mmap_a, path_a) = risgraph_testkit::ooc_mmap_backend("shard-diff-big-mmap-serial");
     let (mmap_b, path_b) = risgraph_testkit::ooc_mmap_backend("shard-diff-big-mmap-sharded");
     let cfg = RegionStreamConfig {

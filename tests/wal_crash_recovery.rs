@@ -294,10 +294,6 @@ fn appends_after_torn_tail_recovery_survive_second_recovery_on_every_backend() {
         BackendKind::IoHash,
         BackendKind::IoBtree,
         BackendKind::IoArt,
-        BackendKind::Ooc {
-            path: None,
-            cache_blocks: 256,
-        },
         BackendKind::OocMmap { path: None },
     ];
     for backend in backends {
