@@ -29,6 +29,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 use risgraph_algorithms::Monotonic;
@@ -45,6 +46,15 @@ use crate::tree::{TreeStore, Value, VertexState};
 
 /// A type-erased monotonic algorithm over the engine's value type.
 pub type DynAlgorithm = Arc<dyn Monotonic<Value = Value>>;
+
+/// Where [`Engine::load_edges`] spent its time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LoadTiming {
+    /// Capacity growth plus the structure build.
+    pub ingest: Duration,
+    /// The initial computation of every algorithm.
+    pub compute: Duration,
+}
 
 /// Engine construction parameters.
 #[derive(Clone)]
@@ -362,25 +372,38 @@ impl<G: DynamicGraph> Engine<G> {
         self.epoch.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Bulk-load edges and compute initial results for every algorithm.
-    pub fn load_edges(&self, edges: &[(VertexId, VertexId, u64)]) {
+    /// Bulk-load edges and compute initial results for every algorithm,
+    /// returning where the time went. The structure goes in through the
+    /// store's bulk ingest ([`DynamicGraph::insert_edges`]) under the
+    /// state write lock, order free: on the IA backends an O(E)
+    /// counting-sort build whose layout does not depend on the thread
+    /// count, on the others the per-edge loop split over the pool. The
+    /// initial push that follows is pool-parallel.
+    pub fn load_edges(&self, edges: &[(VertexId, VertexId, u64)]) -> LoadTiming {
+        let t0 = Instant::now();
         let max_v = edges
             .iter()
             .map(|&(s, d, _)| s.max(d) + 1)
             .max()
             .unwrap_or(0);
         self.ensure_capacity(max_v as usize);
-        let st = self.state.read();
-        // Parallel ingest: the store's per-vertex locks make this safe.
-        self.pool.run_ranges(edges.len(), 1024, |_, range| {
-            for &(s, d, w) in &edges[range] {
-                st.store
-                    .insert_edge(Edge::new(s, d, w))
-                    .expect("capacity ensured");
-            }
-        });
-        drop(st);
+        let edge = |i: usize| {
+            let (s, d, w) = edges[i];
+            Edge::new(s, d, w)
+        };
+        let rejected =
+            self.state
+                .write()
+                .store
+                .insert_edges(edges.len(), &edge, &*self.pool, false);
+        assert_eq!(rejected, 0, "capacity ensured");
+        let ingest = t0.elapsed();
+        let t1 = Instant::now();
         self.recompute_all();
+        LoadTiming {
+            ingest,
+            compute: t1.elapsed(),
+        }
     }
 
     /// Recompute every algorithm from scratch (initial load; also the
@@ -628,17 +651,58 @@ impl<G: DynamicGraph> Engine<G> {
         Ok(changes)
     }
 
-    /// Apply an update to the graph structure only, without touching any
-    /// algorithm state. Used by WAL replay (followed by one
-    /// [`Self::recompute_all`]) and by bulk loaders.
+    /// Apply one update to the graph structure only, without touching
+    /// any algorithm state (the replica's live safe updates and its
+    /// reset use it; whole batches go through
+    /// [`Self::apply_structure_batch`]). Takes the state read lock, so
+    /// it may run alongside other `&self` operations.
     pub fn apply_structure(&self, u: &Update) -> Result<()> {
-        let st = self.state.read();
+        Self::structure_op(&self.state.read().store, u)
+    }
+
+    fn structure_op(store: &G, u: &Update) -> Result<()> {
         match u {
-            Update::InsVertex(v) => st.store.insert_vertex(*v).map(|_| ()),
-            Update::DelVertex(v) => st.store.delete_vertex(*v),
-            Update::InsEdge(e) => st.store.insert_edge(*e).map(|_| ()),
-            Update::DelEdge(e) => st.store.delete_edge(*e).map(|_| ()),
+            Update::InsVertex(v) => store.insert_vertex(*v),
+            Update::DelVertex(v) => store.delete_vertex(*v),
+            Update::InsEdge(e) => store.insert_edge(*e).map(|_| ()),
+            Update::DelEdge(e) => store.delete_edge(*e).map(|_| ()),
         }
+    }
+
+    /// Apply a batch of structural updates in order, without touching
+    /// any algorithm state, and return how many failed (each is skipped,
+    /// as [`Self::apply_structure`] would fail it). Runs of consecutive
+    /// `InsEdge` go through the store's bulk ingest
+    /// ([`DynamicGraph::insert_edges`]: an O(E) counting-sort build on
+    /// the IA stores, split over the worker pool); every other update
+    /// through the per-update path. Holds the state **write** lock
+    /// throughout, so no reader sees an out-list without its transpose.
+    /// Capacity must already cover the batch. Checkpoint restore, WAL
+    /// replay and a follower's snapshot and bootstrap records all load
+    /// through it ([`Self::load_edges`] calls the bulk ingest directly).
+    pub fn apply_structure_batch(&self, batch: &[Update]) -> usize {
+        let mut st = self.state.write();
+        let mut failed = 0;
+        let mut rest = batch;
+        while let Some(first) = rest.first() {
+            let run = rest
+                .iter()
+                .take_while(|u| matches!(u, Update::InsEdge(_)))
+                .count();
+            if run == 0 {
+                failed += Self::structure_op(&st.store, first).is_err() as usize;
+                rest = &rest[1..];
+                continue;
+            }
+            let inserts = &rest[..run];
+            let edge = |i: usize| match inserts[i] {
+                Update::InsEdge(e) => e,
+                other => unreachable!("insertion run holds {other:?}"),
+            };
+            failed += st.store.insert_edges(run, &edge, &*self.pool, true);
+            rest = &rest[run..];
+        }
+        failed
     }
 
     /// Convenience entry point: grow capacity as needed, classify, and

@@ -55,7 +55,9 @@ pub use affected::{
     analyze as analyze_affected_area, footprint as affected_footprint, AffectedAreaReport,
 };
 pub use classifier::{LinearClassifier, PushMode};
-pub use engine::{ChangeRecord, ChangeSet, DynAlgorithm, Engine, EngineConfig, SafeApply, Safety};
+pub use engine::{
+    ChangeRecord, ChangeSet, DynAlgorithm, Engine, EngineConfig, LoadTiming, SafeApply, Safety,
+};
 pub use history::HistoryStore;
 pub use replication::{Replica, ReplicationFeed};
 pub use scheduler::{Scheduler, SchedulerConfig};

@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use risgraph_storage::RangeExecutor;
 
 type Job = Arc<dyn Fn(usize) + Send + Sync>;
 
@@ -114,6 +115,13 @@ impl WorkerPool {
             let end = (start + grain).min(total);
             f(worker, start..end);
         });
+    }
+}
+
+/// The store's bulk ingest splits its vertex ranges over the pool.
+impl RangeExecutor for WorkerPool {
+    fn run_ranges(&self, total: usize, grain: usize, f: &(dyn Fn(std::ops::Range<usize>) + Sync)) {
+        WorkerPool::run_ranges(self, total, grain, |_, range| f(range));
     }
 }
 

@@ -507,12 +507,9 @@ impl Replica {
         if rec.bootstrap {
             // The leader's own recovery path: structure only, result
             // recomputation deferred to the end of the prefix.
-            for u in rec
-                .safe_updates
-                .iter()
-                .chain(rec.unsafe_groups.iter().flatten())
-            {
-                let _ = self.engine.apply_structure(u);
+            self.engine.apply_structure_batch(&rec.safe_updates);
+            for group in &rec.unsafe_groups {
+                self.engine.apply_structure_batch(group);
             }
             self.needs_recompute.store(true, Ordering::Release);
         } else {
@@ -593,9 +590,7 @@ impl Replica {
             }
             self.engine.ensure_capacity(need as usize);
         }
-        for u in updates {
-            let _ = self.engine.apply_structure(u);
-        }
+        self.engine.apply_structure_batch(updates);
         self.needs_recompute.store(true, Ordering::Release);
         self.version.store(resume_version, Ordering::Release);
         self.applied_records.store(resume_index, Ordering::Release);

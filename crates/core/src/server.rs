@@ -270,17 +270,15 @@ fn max_vertex_of(updates: &[Update]) -> u64 {
 
 /// Apply one replayed record (or the snapshot's structure batch) to
 /// the engine: one capacity check per record — an epoch-merged record
-/// can hold tens of thousands of updates — then raw structure
-/// application. Individual errors (e.g. an update that had failed
-/// originally) are skipped.
+/// can hold tens of thousands of updates — then one structure batch.
+/// Individual errors (e.g. an update that had failed originally) are
+/// skipped.
 fn apply_replayed_batch(engine: &Engine<AnyStore>, batch: &[Update]) {
     let need = max_vertex_of(batch);
     if need as usize > engine.capacity() {
         engine.ensure_capacity(need as usize);
     }
-    for u in batch {
-        let _ = engine.apply_structure(u);
-    }
+    engine.apply_structure_batch(batch);
 }
 
 /// Engine result state → snapshot wire form (field-for-field; the two
@@ -463,6 +461,12 @@ pub struct ServerStats {
     /// Lowest scheduler threshold observed (`u64::MAX` until the first
     /// epoch) — witnesses downward self-adjustment under pressure.
     pub min_threshold: Arc<Gauge>,
+    /// Structure-build nanoseconds of the last [`Server::load_edges`]
+    /// (capacity growth plus the bulk ingest).
+    pub load_ingest_ns: Arc<Gauge>,
+    /// Initial-computation nanoseconds of the last
+    /// [`Server::load_edges`].
+    pub load_compute_ns: Arc<Gauge>,
     /// WAL records replayed at startup — the restart-cost counter.
     /// With checkpointing active this counts only post-snapshot
     /// records, witnessing that recovery is proportional to the delta
@@ -496,6 +500,8 @@ impl ServerStats {
             unsafe_serial_fallbacks: registry.counter("core.unsafe_serial_fallbacks"),
             max_epoch_ns: registry.gauge("core.max_epoch_ns"),
             min_threshold: registry.gauge("core.min_threshold"),
+            load_ingest_ns: registry.gauge("core.load_ingest_ns"),
+            load_compute_ns: registry.gauge("core.load_compute_ns"),
             wal_replayed_records: registry.counter("wal.replayed_records"),
             wal_checkpoints: registry.counter("wal.checkpoints"),
         };
@@ -756,9 +762,18 @@ impl Server {
 
     /// Bulk-load a graph before serving traffic (initial computation
     /// included). Not logged to the WAL — load from your dataset on
-    /// recovery instead.
+    /// recovery instead. The time split lands in the
+    /// `core.load_ingest_ns` and `core.load_compute_ns` gauges.
     pub fn load_edges(&self, edges: &[(VertexId, VertexId, u64)]) {
-        self.shared.engine.load_edges(edges);
+        let timing = self.shared.engine.load_edges(edges);
+        let stats = &self.shared.stats;
+        let ns = |d: std::time::Duration| d.as_nanos() as u64;
+        stats
+            .load_ingest_ns
+            .store(ns(timing.ingest), Ordering::Relaxed);
+        stats
+            .load_compute_ns
+            .store(ns(timing.compute), Ordering::Relaxed);
     }
 
     /// Open a new session.

@@ -14,7 +14,7 @@ use risgraph_common::ids::{Edge, VertexId, Weight};
 use risgraph_common::Result;
 
 use crate::adjacency::{DeleteOutcome, InsertOutcome};
-use crate::graph::DynamicGraph;
+use crate::graph::{DynamicGraph, RangeExecutor};
 use crate::index::{art::ArtIndex, btree::BTreeIndex, hash::HashIndex};
 use crate::index_only::IndexOnlyStore;
 use crate::ooc_mmap::MmapOocStore;
@@ -242,6 +242,16 @@ impl DynamicGraph for AnyStore {
         seq: &std::sync::atomic::AtomicU64,
     ) -> Result<Option<(DeleteOutcome, u64)>> {
         dispatch!(self, s => DynamicGraph::delete_edge_if_seq(s, e, pred, seq))
+    }
+
+    fn insert_edges(
+        &mut self,
+        n: usize,
+        edge: &(dyn Fn(usize) -> Edge + Sync),
+        exec: &dyn RangeExecutor,
+        in_order: bool,
+    ) -> usize {
+        dispatch!(self, s => DynamicGraph::insert_edges(s, n, edge, exec, in_order))
     }
 
     fn edge_count(&self, e: Edge) -> u32 {

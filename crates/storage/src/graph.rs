@@ -16,6 +16,11 @@
 //!   balancing (§3.2);
 //! * **vertex lifecycle** — explicit ids, recycled-id allocation and
 //!   isolation-checked deletion (Table 1's `ins_vertex`/`del_vertex`);
+//! * **bulk ingest** — [`DynamicGraph::insert_edges`] applies a batch
+//!   of insertions under exclusive access, ending where the same
+//!   `insert_edge` calls would (in order when asked; the IA stores
+//!   always build the in-order state, in O(E), over a
+//!   [`RangeExecutor`]);
 //! * **capacity & stats** — epoch-boundary growth and the Table 9
 //!   memory accounting.
 //!
@@ -25,7 +30,8 @@
 //! [`crate::backend::AnyStore`] enum dispatches over all of them for
 //! runtime backend selection.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 use risgraph_common::ids::{Edge, VertexId, Weight};
@@ -153,6 +159,40 @@ pub trait DynamicGraph: Send + Sync {
             .map(|outcome| (outcome, seq.fetch_add(1, Ordering::Relaxed))))
     }
 
+    /// Insert edges `edge(0), …, edge(n - 1)` as one batch and return
+    /// how many were rejected (each skipped exactly where
+    /// [`Self::insert_edge`] would have failed). With `in_order` the
+    /// store must end in the state `n` in-order `insert_edge` calls
+    /// leave behind (replay); without it, any interleaving of those
+    /// calls will do (preload). `&mut self` is the exclusivity
+    /// precondition: no concurrent operation can observe a half-applied
+    /// batch. The default is that loop, run in parallel on `exec` when
+    /// the order is free; the IA stores override it with an O(E)
+    /// counting-sort build split over `exec` that always ends in the
+    /// in-order state (see [`crate::store`]).
+    fn insert_edges(
+        &mut self,
+        n: usize,
+        edge: &(dyn Fn(usize) -> Edge + Sync),
+        exec: &dyn RangeExecutor,
+        in_order: bool,
+    ) -> usize {
+        if in_order {
+            return (0..n)
+                .filter(|&i| self.insert_edge(edge(i)).is_err())
+                .count();
+        }
+        let this = &*self;
+        let rejected = AtomicUsize::new(0);
+        exec.run_ranges(n, 1024, &|range| {
+            let r = range
+                .filter(|&i| this.insert_edge(edge(i)).is_err())
+                .count();
+            rejected.fetch_add(r, Ordering::Relaxed);
+        });
+        rejected.into_inner()
+    }
+
     /// Current multiplicity of `e` (0 when absent).
     fn edge_count(&self, e: Edge) -> u32;
 
@@ -255,6 +295,15 @@ pub trait DynamicGraph: Send + Sync {
     fn flush(&self) -> Result<()> {
         Ok(())
     }
+}
+
+/// A fork-join executor for bulk store work: runs `f` over disjoint
+/// ranges that together cover `0..total` (about `grain` items each),
+/// possibly concurrently, and returns once every range is done. The
+/// engine passes its worker pool.
+pub trait RangeExecutor {
+    /// Run `f` over a partition of `0..total`.
+    fn run_ranges(&self, total: usize, grain: usize, f: &(dyn Fn(Range<usize>) + Sync));
 }
 
 /// High bit of a vertex guard word: a deletion holds the vertex

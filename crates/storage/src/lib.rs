@@ -47,7 +47,7 @@ pub mod store;
 
 pub use adjacency::{AdjacencyList, DeleteOutcome, EdgeSlot, InsertOutcome};
 pub use backend::{AnyStore, BackendKind};
-pub use graph::{DynamicGraph, VertexPin, VertexTable};
+pub use graph::{DynamicGraph, RangeExecutor, VertexPin, VertexTable};
 pub use index::{art::ArtIndex, btree::BTreeIndex, hash::HashIndex, EdgeIndex};
 pub use index_only::IndexOnlyStore;
 pub use ooc_mmap::MmapOocStore;

@@ -13,15 +13,33 @@
 //! ever waits on an out-lock while holding an in-lock). Vertex-table
 //! *growth* requires `&mut self`; the engine grows capacity at epoch
 //! boundaries where it has exclusive access.
+//!
+//! Bulk path: [`GraphStore::insert_edges`] loads a batch of insertions
+//! in O(E) — preload, checkpoint restore, WAL replay and follower
+//! bootstrap all go through it. A counting pass admits the edges and
+//! counts each list's share of the batch; then, one direction at a
+//! time, a counting sort orders the admitted edges' positions by owner
+//! (4 B per edge, input order kept within an owner), and the lists are
+//! filled over owner ranges split across a [`RangeExecutor`]
+//! ([`AdjacencyList::insert_batch`]: one pass per list, duplicates
+//! merged through a transient `(dst, weight) → offset` map or the
+//! index, the index built at most once). Precondition: exclusive
+//! access, which the `&mut self` receiver enforces — no reader can see
+//! an out-list without its transpose. Contract: the store ends byte for
+//! byte as in-order [`GraphStore::insert_edge`] calls over the same
+//! edges leave it — slot arrays and their allocations in both
+//! directions, index presence, `num_edges` and the vertex table —
+//! whatever the executor's thread count.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{RwLock, RwLockReadGuard};
+use risgraph_common::hash::FxHashMap;
 use risgraph_common::ids::{Edge, VertexId, Weight};
 use risgraph_common::{Error, Result};
 
 use crate::adjacency::{AdjacencyList, DeleteOutcome, InsertOutcome};
-use crate::graph::{DynamicGraph, VertexTable};
+use crate::graph::{DynamicGraph, RangeExecutor, VertexTable};
 use crate::index::EdgeIndex;
 use crate::DEFAULT_INDEX_THRESHOLD;
 
@@ -230,6 +248,116 @@ impl<I: EdgeIndex> GraphStore<I> {
         }
         self.live_edges.fetch_add(1, Ordering::AcqRel);
         Ok((outcome, stamp))
+    }
+
+    /// Whether [`Self::insert_edge`] would accept `e` (endpoint
+    /// creation aside).
+    #[inline]
+    fn admits(&self, e: Edge) -> bool {
+        let cap = self.capacity() as u64;
+        e.src < cap
+            && e.dst < cap
+            && (self.config.auto_create_vertices
+                || (self.vertex_exists(e.src) && self.vertex_exists(e.dst)))
+    }
+
+    /// Insert `edge(0), …, edge(n - 1)` as one batch in O(E), returning
+    /// how many were rejected; see the module docs for the counting-sort
+    /// build and its equivalence with in-order [`Self::insert_edge`].
+    pub fn insert_edges(
+        &mut self,
+        n: usize,
+        edge: &(dyn Fn(usize) -> Edge + Sync),
+        exec: &dyn RangeExecutor,
+    ) -> usize {
+        assert!(n < u32::MAX as usize, "bulk batch of {n} edges");
+        // Owners lie in 0..span, and the build below costs O(span) on
+        // top of O(E). A batch sparse in that range (a short replayed
+        // run, say) goes edge by edge, so a replay of many small records
+        // does not pay O(V) per record.
+        let span = (0..n)
+            .map(|i| {
+                let e = edge(i);
+                e.src.max(e.dst).saturating_add(1)
+            })
+            .max()
+            .unwrap_or(0)
+            .min(self.capacity() as u64) as usize;
+        if n * 4 < span {
+            return (0..n)
+                .filter(|&i| self.insert_edge(edge(i)).is_err())
+                .count();
+        }
+
+        // Count pass: admit, create endpoints, count edges per owner.
+        let mut out_deg = vec![0u32; span];
+        let mut in_deg = vec![0u32; span];
+        let mut rejected = 0;
+        for i in 0..n {
+            let e = edge(i);
+            if !self.admits(e) {
+                rejected += 1;
+                continue;
+            }
+            if self.config.auto_create_vertices {
+                for v in [e.src, e.dst] {
+                    if !self.vertices.exists(v) {
+                        self.vertices.mark(v);
+                    }
+                }
+            }
+            out_deg[e.src as usize] += 1;
+            in_deg[e.dst as usize] += 1;
+        }
+
+        // One direction at a time: a counting sort orders the admitted
+        // edges' positions by owner, then the lists are filled over
+        // owner ranges on `exec`. Each list is written by one range
+        // only, so the layout cannot depend on the thread count.
+        let t = self.config.index_threshold;
+        let mut pos = vec![0u32; n - rejected];
+        for (forward, mut bound) in [(true, out_deg), (false, in_deg)] {
+            // `bound[v]` becomes the end of owner v's run; the backward
+            // pass then moves it to the run's start, so each run keeps
+            // input order.
+            let mut sum = 0;
+            for b in &mut bound {
+                sum += *b;
+                *b = sum;
+            }
+            for i in (0..n).rev() {
+                let e = edge(i);
+                if self.admits(e) {
+                    let b = &mut bound[if forward { e.src } else { e.dst } as usize];
+                    *b -= 1;
+                    pos[*b as usize] = i as u32;
+                }
+            }
+            let lists = if forward { &self.out } else { &self.inn };
+            exec.run_ranges(span, (span / 128).max(64), &|owners| {
+                let (mut keys, mut scratch) = (Vec::new(), FxHashMap::default());
+                for v in owners {
+                    let end = bound.get(v + 1).map_or(pos.len(), |&b| b as usize);
+                    let run = &pos[bound[v] as usize..end];
+                    if run.is_empty() {
+                        continue;
+                    }
+                    keys.clear();
+                    keys.extend(run.iter().map(|&i| {
+                        let e = edge(i as usize);
+                        if forward {
+                            (e.dst, e.data)
+                        } else {
+                            (e.src, e.data)
+                        }
+                    }));
+                    lists[v].write().insert_batch(&keys, t, &mut scratch);
+                }
+            });
+        }
+        self.live_edges
+            .fetch_add((n - rejected) as u64, Ordering::AcqRel);
+        rejected
     }
 
     /// Delete one copy of a directed edge.
@@ -444,6 +572,17 @@ impl<I: EdgeIndex> DynamicGraph for GraphStore<I> {
 
     fn delete_edge(&self, e: Edge) -> Result<DeleteOutcome> {
         GraphStore::delete_edge(self, e)
+    }
+
+    fn insert_edges(
+        &mut self,
+        n: usize,
+        edge: &(dyn Fn(usize) -> Edge + Sync),
+        exec: &dyn RangeExecutor,
+        _in_order: bool,
+    ) -> usize {
+        // Always the in-order state, whatever the executor.
+        GraphStore::insert_edges(self, n, edge, exec)
     }
 
     fn delete_edge_if(
@@ -867,5 +1006,181 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+}
+
+#[cfg(test)]
+mod bulk_proptests {
+    use super::*;
+    use crate::index::{art::ArtIndex, btree::BTreeIndex, hash::HashIndex};
+    use proptest::prelude::*;
+    use std::ops::Range;
+    use std::sync::atomic::AtomicUsize;
+
+    /// A [`RangeExecutor`] on `n` scoped threads pulling `grain`-sized
+    /// ranges from a shared cursor, so with more than one thread ranges
+    /// land on threads nondeterministically.
+    struct Threads(usize);
+
+    impl RangeExecutor for Threads {
+        fn run_ranges(&self, total: usize, grain: usize, f: &(dyn Fn(Range<usize>) + Sync)) {
+            let cursor = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                for _ in 0..self.0 {
+                    s.spawn(|| loop {
+                        let lo = cursor.fetch_add(grain, Ordering::Relaxed);
+                        if lo >= total {
+                            break;
+                        }
+                        f(lo..(lo + grain).min(total));
+                    });
+                }
+            });
+        }
+    }
+
+    const CAP: usize = 64;
+
+    /// Everything the bulk ≡ sequential contract covers, plus the
+    /// allocation sizes that decide later compactions.
+    fn assert_same<I: EdgeIndex>(a: &GraphStore<I>, b: &GraphStore<I>, keys: &[Edge]) {
+        assert_eq!(a.num_edges(), b.num_edges(), "num_edges");
+        assert_eq!(a.num_vertices(), b.num_vertices(), "num_vertices");
+        assert_eq!(
+            a.vertex_upper_bound(),
+            b.vertex_upper_bound(),
+            "upper bound"
+        );
+        for v in 0..CAP as u64 {
+            assert_eq!(a.vertex_exists(v), b.vertex_exists(v), "vertex {v}");
+            for (x, y, dir) in [(a.out(v), b.out(v), "out"), (a.inn(v), b.inn(v), "in")] {
+                assert_eq!(x.slots(), y.slots(), "{dir}-slots of {v}");
+                assert_eq!(x.has_index(), y.has_index(), "{dir}-index of {v}");
+                assert_eq!(x.memory_bytes(), y.memory_bytes(), "{dir}-memory of {v}");
+                assert_eq!(
+                    x.degree_with_duplicates(),
+                    y.degree_with_duplicates(),
+                    "{dir}-degree of {v}"
+                );
+            }
+        }
+        for &e in keys {
+            assert_eq!(a.edge_count(e), b.edge_count(e), "count of {e:?}");
+        }
+    }
+
+    /// Prepare a store with `pre` inserted and `dels` deleted (leaving
+    /// tombstones), per edge.
+    fn seeded<I: EdgeIndex>(config: &StoreConfig, pre: &[Edge], dels: &[usize]) -> GraphStore<I> {
+        let s = GraphStore::with_config(CAP, config.clone());
+        let auto = config.auto_create_vertices;
+        if !auto {
+            for v in 0..CAP as u64 / 2 {
+                s.insert_vertex(v).unwrap();
+            }
+        }
+        for &e in pre {
+            let _ = s.insert_edge(e);
+        }
+        for &d in dels {
+            if let Some(&e) = pre.get(d) {
+                let _ = s.delete_edge(e);
+            }
+        }
+        s
+    }
+
+    fn check<I: EdgeIndex>(
+        config: &StoreConfig,
+        pre: &[Edge],
+        dels: &[usize],
+        batch: &[Edge],
+        exec: &dyn RangeExecutor,
+    ) {
+        let seq: GraphStore<I> = seeded(config, pre, dels);
+        let mut bulk: GraphStore<I> = seeded(config, pre, dels);
+        let want = batch
+            .iter()
+            .filter(|&&e| seq.insert_edge(e).is_err())
+            .count();
+        let got = bulk.insert_edges(batch.len(), &|i| batch[i], exec);
+        assert_eq!(got, want, "rejected count");
+        let keys: Vec<Edge> = pre.iter().chain(batch).copied().collect();
+        assert_same(&seq, &bulk, &keys);
+        // Equal allocations mean equal futures: replay deletes and
+        // re-inserts on both and compare again.
+        for &e in keys.iter().step_by(3) {
+            let _ = (seq.delete_edge(e), bulk.delete_edge(e));
+        }
+        for &e in keys.iter().step_by(5) {
+            let _ = (seq.insert_edge(e), bulk.insert_edge(e));
+        }
+        assert_same(&seq, &bulk, &keys);
+    }
+
+    fn edges(raw: &[(u64, u64, u64)]) -> Vec<Edge> {
+        raw.iter().map(|&(s, d, w)| Edge::new(s, d, w)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Bulk ingest ends byte for byte where in-order `insert_edge`
+        /// does, for every IA index family: random multigraphs with
+        /// duplicates (heavy ones when `narrow` folds the destinations
+        /// onto 8 vertices), index thresholds of 4 (index builds and
+        /// indexed appends), 20 and 40 (lists filled through the
+        /// scratch map, crossing the threshold, or kept under it by
+        /// duplicates), lists pre-filled with live edges and tombstones
+        /// (the non-empty and fallback paths), out-of-range and, in
+        /// strict mode, unknown endpoints (rejections), and one to three
+        /// threads.
+        #[test]
+        fn bulk_ingest_matches_sequential_insert(
+            pre in proptest::collection::vec((0..10u64, 0..40u64, 0..3u64), 0..200),
+            dels in proptest::collection::vec(0..200usize, 0..80),
+            batch in proptest::collection::vec((0..10u64, 0..70u64, 0..3u64), 0..900),
+            mode in (1..4usize, proptest::bool::ANY, 0..3usize, proptest::bool::ANY)
+        ) {
+            let (threads, auto, threshold_sel, narrow) = mode;
+            let mut batch = edges(&batch);
+            if narrow {
+                for e in &mut batch {
+                    e.dst %= 8;
+                }
+            }
+            let pre = edges(&pre);
+            let config = StoreConfig {
+                index_threshold: [4, 20, 40][threshold_sel],
+                auto_create_vertices: auto,
+            };
+            let exec = &Threads(threads);
+            check::<HashIndex>(&config, &pre, &dels, &batch, exec);
+            check::<BTreeIndex>(&config, &pre, &dels, &batch, exec);
+            check::<ArtIndex>(&config, &pre, &dels, &batch, exec);
+        }
+    }
+
+    #[test]
+    fn bulk_ingest_builds_hub_index_once_over_a_fresh_store() {
+        // One hub past the default threshold plus many short lists.
+        let batch: Vec<Edge> = (0..8000u64)
+            .map(|i| Edge::new(i % 7, (i * 13) % 1000, i % 2))
+            .collect();
+        let seq: GraphStore<HashIndex> = GraphStore::with_capacity(1024);
+        let mut bulk: GraphStore<HashIndex> = GraphStore::with_capacity(1024);
+        for &e in &batch {
+            seq.insert_edge(e).unwrap();
+        }
+        assert_eq!(
+            bulk.insert_edges(batch.len(), &|i| batch[i], &Threads(2)),
+            0
+        );
+        assert!(bulk.out(0).has_index());
+        for v in 0..1024 {
+            assert_eq!(seq.out(v).slots(), bulk.out(v).slots());
+            assert_eq!(seq.inn(v).slots(), bulk.inn(v).slots());
+        }
+        assert_eq!(seq.num_edges(), bulk.num_edges());
     }
 }

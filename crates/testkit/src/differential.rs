@@ -203,12 +203,15 @@ pub fn drive_net_sessions(
 }
 
 /// A store-contents fingerprint: total edge count plus each vertex's
-/// sorted `(dst, weight, multiplicity)` adjacency.
-pub type StoreFingerprint = (u64, Vec<Vec<(u64, u64, u32)>>);
+/// sorted `(neighbour, weight, multiplicity)` out-adjacency and in-
+/// (transpose) adjacency.
+pub type StoreFingerprint = (u64, Vec<[Vec<(u64, u64, u32)>; 2]>);
 
-/// Count-annotated adjacency of every vertex in `0..n` plus the edge
-/// total — the canonical "store contents" fingerprint two equivalent
-/// servers must share, whatever their backend layout.
+/// Count-annotated adjacency of every vertex in `0..n`, both directions,
+/// plus the edge total — the canonical "store contents" fingerprint two
+/// equivalent servers must share, whatever their backend layout. The
+/// in-lists are what deletion recovery walks, so a transpose out of
+/// sync with its out-lists fails the comparison too.
 pub fn store_fingerprint<G: DynamicGraph>(engine: &Engine<G>, n: u64) -> StoreFingerprint {
     engine.with_store(|s| raw_store_fingerprint(s, n))
 }
@@ -216,13 +219,16 @@ pub fn store_fingerprint<G: DynamicGraph>(engine: &Engine<G>, n: u64) -> StoreFi
 /// [`store_fingerprint`] for a bare store (no engine around it) — what
 /// the cold-restart suite compares a reopened block file against.
 pub fn raw_store_fingerprint<G: DynamicGraph>(store: &G, n: u64) -> StoreFingerprint {
-    let mut all = Vec::with_capacity(n as usize);
-    for v in 0..n {
-        let mut adj = Vec::new();
-        store.scan_out(v, &mut |d, w, c| adj.push((d, w, c)));
-        adj.sort_unstable();
-        all.push(adj);
-    }
+    let all = (0..n)
+        .map(|v| {
+            let (mut out, mut inn) = (Vec::new(), Vec::new());
+            store.scan_out(v, &mut |d, w, c| out.push((d, w, c)));
+            store.scan_in(v, &mut |s, w, c| inn.push((s, w, c)));
+            out.sort_unstable();
+            inn.sort_unstable();
+            [out, inn]
+        })
+        .collect();
     (store.num_edges(), all)
 }
 

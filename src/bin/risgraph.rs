@@ -623,7 +623,9 @@ impl Shell {
 
     fn load(&self, edges: &[(u64, u64, u64)]) {
         match self {
-            Shell::Engine(e) => e.load_edges(edges),
+            Shell::Engine(e) => {
+                e.load_edges(edges);
+            }
             Shell::Server { server, .. } => server.load_edges(edges),
         }
     }

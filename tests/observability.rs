@@ -109,6 +109,42 @@ fn metrics_opcode_reports_per_phase_epoch_histograms() {
     net.shutdown();
 }
 
+fn gauge(snapshot: &[(String, MetricValue)], name: &str) -> Option<u64> {
+    snapshot.iter().find_map(|(n, v)| match v {
+        MetricValue::Gauge(g) if n == name => Some(*g),
+        _ => None,
+    })
+}
+
+/// `Server::load_edges` splits its cost into the structure build and
+/// the initial computation; both parts are measured and together fit
+/// inside the wall time the caller sees.
+#[test]
+fn load_edges_reports_ingest_and_compute_split() {
+    let server = Server::start(
+        wcc_algorithms(),
+        1 << 10,
+        server_config(BackendKind::IaHash, 1),
+    )
+    .expect("server");
+    let edges: Vec<(u64, u64, u64)> = (0..20_000u64)
+        .map(|i| (i % 1000, (i * 7 + 1) % 1000, 0))
+        .collect();
+    let t = Instant::now();
+    server.load_edges(&edges);
+    let wall_ns = t.elapsed().as_nanos() as u64;
+    let snap = server.metrics().snapshot();
+    let ingest = gauge(&snap, "core.load_ingest_ns").expect("core.load_ingest_ns");
+    let compute = gauge(&snap, "core.load_compute_ns").expect("core.load_compute_ns");
+    assert!(ingest > 0, "structure build not measured");
+    assert!(compute > 0, "initial computation not measured");
+    assert!(
+        ingest + compute <= wall_ns,
+        "split {ingest} + {compute} ns exceeds the {wall_ns} ns wall time"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn zero_threshold_flags_epochs_with_full_breakdown() {
     let (net, _) = loaded_server();
